@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate paths: GF(256)
-// Reed-Solomon coding, event-queue churn, wire serialization, and the
-// aggregation estimator.
+// Reed-Solomon coding, event-queue churn, retransmission timers, wire
+// serialization, and the aggregation estimator.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "fec/reed_solomon.hpp"
 #include "fec/window_codec.hpp"
 #include "gossip/messages.hpp"
+#include "gossip/retransmit.hpp"
 #include "gossip/window_ring.hpp"
 #include "net/fabric.hpp"
 #include "sim/sharded_engine.hpp"
@@ -315,7 +316,7 @@ void BM_EventQueueLegacySimMix(benchmark::State& state) {
 BENCHMARK(BM_EventQueueLegacySimMix);
 
 void BM_EventQueuePooledCancellation(benchmark::State& state) {
-  // The retransmission pattern: schedule + cancel nearly everything.
+  // Schedule, then cancel every other event: the tombstone path.
   for (auto _ : state) {
     sim::EventQueue q;
     sim::SimTime now = sim::SimTime::zero();
@@ -350,6 +351,43 @@ void BM_EventQueueLegacyCancellation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_EventQueueLegacyCancellation);
+
+// The retransmission timer pattern of Algorithm 2: every request arms one
+// timer per requested id (11, a typical propose), the serve cancels ~97% of
+// them 300 ms later, and the rest fire after the 1 s timeout.
+void BM_RetransmitArmServe(benchmark::State& state) {
+  constexpr std::uint32_t kRequests = 1000;
+  constexpr std::uint32_t kIdsPerRequest = 11;
+  constexpr std::uint32_t kRequestsPerWindow = 10;
+  for (auto _ : state) {
+    sim::Simulator sim(1);
+    std::uint64_t fired = 0;
+    gossip::RetransmitTracker tracker(sim, sim::SimTime::sec(1.0), 8,
+                                      [&fired](EventId, int) { ++fired; });
+    for (std::uint32_t r = 0; r < kRequests; ++r) {
+      const std::uint32_t window = r / kRequestsPerWindow;
+      const auto first = static_cast<std::uint16_t>((r % kRequestsPerWindow) * kIdsPerRequest);
+      const sim::SimTime at = sim::SimTime::ms(10 * static_cast<std::int64_t>(r));
+      sim.at(at, [&tracker, window, first]() {
+        if (first == 0 && window >= 8) tracker.gc(window - 8);
+        for (std::uint16_t k = 0; k < kIdsPerRequest; ++k) {
+          tracker.arm(EventId{window, static_cast<std::uint16_t>(first + k)}, 0);
+        }
+      });
+      sim.at(at + sim::SimTime::ms(300), [&tracker, window, first, r]() {
+        for (std::uint16_t k = 0; k < kIdsPerRequest; ++k) {
+          if ((r * kIdsPerRequest + k) % 33 == 0) continue;  // lost serve: the timer fires
+          tracker.cancel(EventId{window, static_cast<std::uint16_t>(first + k)});
+        }
+      });
+    }
+    sim.run_to_completion();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRequests *
+                          kIdsPerRequest);
+}
+BENCHMARK(BM_RetransmitArmServe);
 
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));

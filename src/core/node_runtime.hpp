@@ -166,6 +166,12 @@ class NodeRuntime {
   // the registration (it lives until the runtime dies).
   void ignore_tag(gossip::MsgTag tag);
 
+  // True when a module (or ignore_tag) has claimed `tag`.
+  [[nodiscard]] bool handles(gossip::MsgTag tag) const {
+    const auto i = static_cast<std::uint8_t>(tag);
+    return i < kTagTableSize && handlers_[i].fn != nullptr;
+  }
+
   // First mounted module of type M, or nullptr.
   template <class M>
   [[nodiscard]] M* find_module() {

@@ -156,12 +156,15 @@ class WindowRing {
   }
 
   // Drops all entries of `window` (idempotent; cancelled flag untouched —
-  // flags outlive their window's entries until gc).
-  void clear_window(std::uint32_t window) {
-    if (!in_domain(window)) return;
+  // flags outlive their window's entries until gc). Returns how many there
+  // were.
+  std::size_t clear_window(std::uint32_t window) {
+    if (!in_domain(window)) return 0;
     State& s = state(window);
-    size_ -= s.count;
+    const std::size_t dropped = s.count;
+    size_ -= dropped;
     release_slab(s);
+    return dropped;
   }
 
   // GC: advances the domain to [new_base, new_base + windows), freeing the

@@ -167,6 +167,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   Rng noise_rng = Rng(seed_).fork(kNoiseStream);
 
   d->receivers_.reserve(population_.node_count);
+  bool receivers_aggregate = false;
   for (std::size_t i = 0; i < population_.node_count; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i + 1)};
     Receiver r;
@@ -183,6 +184,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     core::NodeConfig node_cfg = node_template;
     node_cfg.capability = r.info.capability;
     r.node = make_node(sim_of(id), *d->fabric_, *d->directory_, id, node_cfg);
+    receivers_aggregate = receivers_aggregate || r.node->handles(gossip::MsgTag::kAggregation);
     r.player = std::make_unique<stream::Player>(
         sim_of(id), stream_.stream, stream_.windows,
         population_.lean_players ? stream::Player::Recording::kLean
@@ -202,6 +204,13 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     }
     r.node->attach(r.info.actual_capacity);
     d->receivers_.push_back(std::move(r));
+  }
+
+  // Receivers running the aggregation module pick their partners from the
+  // whole membership, the source included. A source without the module
+  // declares that traffic expected instead of counting it as unknown-tag.
+  if (receivers_aggregate && !d->source_node_->handles(gossip::MsgTag::kAggregation)) {
+    d->source_node_->ignore_tag(gossip::MsgTag::kAggregation);
   }
 
   // --- stream source app ---------------------------------------------------

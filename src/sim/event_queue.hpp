@@ -7,17 +7,22 @@
 //    nothing). Freed slots go on a free list and are reused; each slot
 //    carries a generation counter so stale handles and stale heap entries
 //    are detected after reuse.
-//  * a 4-ary heap of plain-old-data entries keyed by (time, sequence
-//    number): events at equal times fire in scheduling order, which keeps
-//    runs deterministic. Sift operations move 24-byte PODs, never callbacks;
-//    the 4-way branching halves the tree height and keeps sibling groups in
-//    one cache line, which is where a 100k-event backlog spends its time.
+//  * a 4-ary heap of 32-byte plain-old-data entries (at, key2, seq, slot,
+//    gen), ordered by (time, secondary key, sequence number): events at equal
+//    times fire in scheduling order, which keeps runs deterministic. Sift
+//    operations move PODs, never callbacks; the 4-way branching halves the
+//    tree height and keeps sibling groups in one cache line, which is where a
+//    100k-event backlog spends its time.
 //
 // Cancellation frees the slot immediately (the callback dies right away) and
 // leaves the heap entry behind as a tombstone — detected by generation
-// mismatch and skipped on pop. The dominant consumers (retransmission timers
-// that almost always get cancelled) are cheaper this way than with a
-// tombstone-free structure.
+// mismatch and skipped on pop. Tombstones are cheap only while cancels are
+// rare, so the one timer that is almost always cancelled — the per-request
+// retransmission timer, stopped by the matching serve — stays out of the heap:
+// gossip::RetransmitTracker keeps its timers in per-node FIFO lanes and puts
+// only each lane's head here. It reserves the timer's sequence number at arm
+// time (reserve_seq) and pushes the head under it later (schedule_reserved),
+// so the head orders exactly as a timer scheduled at arm time would.
 #pragma once
 
 #include <algorithm>
@@ -96,6 +101,22 @@ class EventQueue {
     push_entry(at, key2, alloc_slot(std::forward<F>(fn)));
   }
 
+  // Takes the next scheduling-order number without scheduling anything. An
+  // event later pushed with schedule_reserved(at, seq, ...) orders exactly as
+  // if schedule(at, ...) had run at reservation time: ties at `at` break by
+  // `seq`, before every event scheduled after the reservation.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  // Schedules `fn` at `at` under a sequence number from reserve_seq(), without
+  // a cancellation token. Each reserved number may be used at most once, and
+  // the entry must not order before the event that is running: the caller
+  // pushes it no later than the moment it becomes the earliest of its kind.
+  template <class F>
+  void schedule_reserved(SimTime at, std::uint64_t seq, F&& fn) {
+    HG_ASSERT_MSG(seq < next_seq_, "sequence number was never reserved");
+    push_entry_at_seq(at, 0, seq, alloc_slot(std::forward<F>(fn)));
+  }
+
   // Pops and runs the earliest live event; returns false when empty.
   // `now` is updated to the event's timestamp before the callback runs.
   bool run_next(SimTime& now);
@@ -167,7 +188,10 @@ class EventQueue {
   void free_slot(std::uint32_t i);
 
   void push_entry(SimTime at, std::uint64_t key2, std::uint32_t slot) {
-    heap_.push_back(Entry{at, key2, next_seq_++, slot, slots_[slot].gen});
+    push_entry_at_seq(at, key2, next_seq_++, slot);
+  }
+  void push_entry_at_seq(SimTime at, std::uint64_t key2, std::uint64_t seq, std::uint32_t slot) {
+    heap_.push_back(Entry{at, key2, seq, slot, slots_[slot].gen});
     sift_up(heap_.size() - 1);
   }
 

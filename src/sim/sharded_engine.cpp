@@ -159,11 +159,16 @@ std::uint64_t ShardedEngine::run_until(SimTime until) {
   }
   // Inclusive tail: events scheduled exactly at `until` run (the sequential
   // run_until contract). Cross-partition messages they emit arrive strictly
-  // after `until` and stay queued, as they would in a sequential run.
+  // after `until` and stay queued, as they would in a sequential run — which
+  // takes an exchange: the next call's first begin_epoch releases the
+  // senders' outgoing blocks, so anything not imported by then is lost.
   run_parallel_phase([&](std::size_t p) {
     if (bridge_ != nullptr) bridge_->begin_epoch(static_cast<std::uint32_t>(p));
     partition_sims_[p]->run_until(until);
   });
+  if (bridge_ != nullptr) {
+    run_parallel_phase([&](std::size_t p) { bridge_->exchange(static_cast<std::uint32_t>(p)); });
+  }
   return events_executed() - before;
 }
 

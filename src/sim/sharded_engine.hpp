@@ -145,8 +145,9 @@ class ShardedEngine {
   void schedule_control(SimTime when, std::function<void()> fn);
 
   // Advances every partition to `until` in lockstepped epochs; events
-  // scheduled exactly at `until` are processed (matching Simulator::run_until).
-  // Returns the number of events executed by this call.
+  // scheduled exactly at `until` are processed (matching Simulator::run_until)
+  // and their cross-partition sends exchanged, so a run driven in slices
+  // equals one call. Returns the number of events executed by this call.
   std::uint64_t run_until(SimTime until);
 
   // Total events executed across all partitions.

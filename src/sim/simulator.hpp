@@ -62,6 +62,18 @@ class Simulator {
     queue_.schedule_keyed_fire_and_forget(now_ + delay, key2, std::forward<F>(fn));
   }
 
+  // Reserved scheduling order (see EventQueue::reserve_seq): at_reserved(when,
+  // seq, fn) runs `fn` at `when`, ordered as if it had been scheduled when
+  // `seq` was reserved. Lets a component keep its own timer structure and
+  // hand the queue only its earliest timer, without moving any event.
+  [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  template <class F>
+  void at_reserved(SimTime when, std::uint64_t seq, F&& fn) {
+    HG_ASSERT_MSG(when >= now_, "cannot schedule into the past");
+    queue_.schedule_reserved(when, seq, std::forward<F>(fn));
+  }
+
   // Timestamp of the earliest live pending event, or nullopt when the queue
   // is (or prunes to) empty. The sharded engine polls this at barriers to
   // fast-forward over epochs no partition has work for.

@@ -63,6 +63,27 @@ TEST(DeploymentBuilder, DefaultFactoryHandsOutPresetByMode) {
   EXPECT_EQ(d->node(0).module_names().size(), 2u);  // gossip + player glue
 }
 
+// HEAP receivers pick aggregation partners from the whole membership, the
+// standard-mode source included: the default deployment must declare that
+// traffic on the source rather than count it as unknown-tag.
+TEST(Deployment, HeapRunHasNoUnknownTagDatagrams) {
+  ExperimentConfig cfg;
+  cfg.node_count = 40;
+  cfg.stream_windows = 2;
+  cfg.tail = sim::SimTime::sec(10.0);
+  cfg.mode = core::Mode::kHeap;
+  cfg.seed = 3;
+  Experiment exp(cfg);
+  exp.run();
+
+  Deployment& d = exp.deployment();
+  EXPECT_GT(d.source_node().stats().ignored_datagrams, 0u);  // the path was exercised
+  EXPECT_EQ(d.source_node().stats().unknown_tag_datagrams, 0u);
+  for (std::size_t i = 0; i < d.receivers(); ++i) {
+    EXPECT_EQ(d.node(i).stats().unknown_tag_datagrams, 0u) << "receiver " << i;
+  }
+}
+
 // The tentpole's payoff scenario: a standard-gossip minority runs inside a
 // HEAP deployment via the node factory — and the deployment still delivers
 // the stream to (essentially) everyone.

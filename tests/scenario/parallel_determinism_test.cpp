@@ -9,6 +9,7 @@
 #include <string>
 
 #include "scenario/report.hpp"
+#include "stream/lag_analyzer.hpp"
 
 namespace hg::scenario {
 namespace {
@@ -153,6 +154,61 @@ TEST(ParallelDeterminism, ChurnAndDetectionStayDeterministic) {
   for (std::size_t workers : {3u, 8u}) {
     EXPECT_EQ(with_churn(workers), base) << "workers=" << workers;
   }
+}
+
+// A sharded churn deployment driven in 1 s run_until slices must equal one
+// run_until(run_end): the events at each slice end emit cross-partition
+// sends, and those must reach the next slice instead of being released
+// unexchanged by its first begin_epoch.
+TEST(ParallelDeterminism, SlicedRunUntilMatchesSingleCall) {
+  ExperimentConfig cfg = parallel_cfg(2);
+  cfg.mode = core::Mode::kStandard;
+  cfg.churn.push_back(ChurnEvent{sim::SimTime::sec(6.0), 0.3});
+  const sim::SimTime run_end = cfg.run_end();
+
+  auto digest_run = [&cfg, run_end](sim::SimTime slice) {
+    auto d = Deployment::Builder{}
+                 .seed(cfg.seed)
+                 .network(cfg.network_plan())
+                 .population(cfg.population_plan())
+                 .stream(cfg.stream_plan())
+                 .churn(cfg.churn_plan())
+                 .parallel(cfg.parallel_plan())
+                 .build();
+    d->start();
+    for (sim::SimTime t = slice; t < run_end; t = t + slice) d->run_until(t);
+    d->run_until(run_end);
+
+    std::string out;
+    char buf[128];
+    std::int64_t uploaded = 0;
+    for (std::size_t i = 0; i < d->receivers(); ++i) uploaded += d->meter(i).total_sent_bytes();
+    std::snprintf(buf, sizeof buf, "delivered=%llu lost=%llu uploaded=%lld\n",
+                  static_cast<unsigned long long>(d->fabric().datagrams_delivered()),
+                  static_cast<unsigned long long>(d->fabric().datagrams_lost()),
+                  static_cast<long long>(uploaded));
+    out += buf;
+    // Per-class window lags, receivers in id order within each class.
+    const stream::LagAnalyzer analyzer(d->source());
+    for (int cls = 0; cls < 3; ++cls) {
+      out += "class" + std::to_string(cls) + ":";
+      for (std::size_t i = 0; i < d->receivers(); ++i) {
+        if (d->info(i).class_index != cls) continue;
+        for (double lag : analyzer.window_decode_lags(d->player(i))) {
+          std::snprintf(buf, sizeof buf, " %.17g", lag);
+          out += buf;
+        }
+      }
+      out += "\n";
+    }
+    return out;
+  };
+
+  const std::string whole = digest_run(run_end);
+  EXPECT_EQ(digest_run(sim::SimTime::sec(1.0)), whole) << "1 s slices";
+  // At this size few events fall exactly on a 1 s boundary; millisecond
+  // slices put hundreds of cross-partition sends at a slice end.
+  EXPECT_EQ(digest_run(sim::SimTime::ms(1)), whole) << "1 ms slices";
 }
 
 }  // namespace

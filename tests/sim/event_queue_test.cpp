@@ -165,6 +165,46 @@ TEST(EventQueue, CancelledSlotReclaimedImmediately) {
   EXPECT_EQ(q.pool_slots(), 1u);
 }
 
+// An event pushed under a reserved sequence number orders as if it had been
+// scheduled at reservation time: before same-time events scheduled after the
+// reservation, after those scheduled before it — even when the push comes
+// last.
+TEST(EventQueue, ReservedSeqOrdersAsOfReservation) {
+  EventQueue q;
+  std::vector<int> order;
+  SimTime now = SimTime::zero();
+  q.schedule_fire_and_forget(SimTime::ms(5), [&] { order.push_back(1); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule_fire_and_forget(SimTime::ms(5), [&] { order.push_back(3); });
+  q.schedule_fire_and_forget(SimTime::ms(4), [&] { order.push_back(0); });
+  q.schedule_reserved(SimTime::ms(5), seq, [&] { order.push_back(2); });
+  while (q.run_next(now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// A reservation consumes a sequence number exactly like a schedule does, so
+// events scheduled around it keep the order they would have had if the
+// reservation had been a schedule; pushing it from a running event (the
+// retransmit lanes' pattern) is fine while its key is still ahead.
+TEST(EventQueue, ReservedSeqPushedFromRunningEvent) {
+  EventQueue q;
+  std::vector<int> order;
+  SimTime now = SimTime::zero();
+  const std::uint64_t early = q.reserve_seq();
+  const std::uint64_t late = q.reserve_seq();
+  q.schedule_fire_and_forget(SimTime::ms(7), [&] { order.push_back(4); });
+  q.schedule_reserved(SimTime::ms(2), early, [&] {
+    order.push_back(1);
+    q.schedule_reserved(SimTime::ms(7), late, [&] { order.push_back(3); });
+  });
+  q.schedule_fire_and_forget(SimTime::ms(2), [&] { order.push_back(2); });
+  while (q.run_next(now)) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(q.executed(), 4u);
+}
+
 TEST(SmallFnTest, InlineAndHeapStorage) {
   int hit = 0;
   SmallFn small([&hit] { ++hit; });  // one pointer capture: inline
