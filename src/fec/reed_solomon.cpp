@@ -1,5 +1,7 @@
 #include "fec/reed_solomon.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "fec/gf256.hpp"
 
@@ -42,16 +44,16 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::encode(
   return parity;
 }
 
-std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
-    std::span<const std::optional<std::vector<std::uint8_t>>> shards) const {
+std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::repair(
+    std::span<const ShardView> shards) const {
   HG_ASSERT(shards.size() == k_ + m_);
 
   // Shards come off the wire, so treat malformed input as undecodable, not
-  // as a programming error: every present shard — whether it feeds the fast
-  // path, the elimination, or is merely carried along — must agree on length.
+  // as a programming error: every present shard — whether it feeds the
+  // repair or is merely carried along — must agree on length.
   std::size_t shard_len = 0;
   bool saw_present = false;
-  for (const auto& s : shards) {
+  for (const ShardView& s : shards) {
     if (!s.has_value()) continue;
     if (!saw_present) {
       shard_len = s->size();
@@ -61,43 +63,67 @@ std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
     }
   }
 
-  // Fast path: all data shards present.
-  bool all_data = true;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (!shards[i].has_value()) {
-      all_data = false;
-      break;
+  std::vector<std::size_t> missing;
+  for (std::size_t d = 0; d < k_; ++d) {
+    if (!shards[d].has_value()) missing.push_back(d);
+  }
+  const std::size_t e = missing.size();
+  std::vector<std::vector<std::uint8_t>> out(e);
+  if (e == 0) return out;
+
+  // The present data rows plus these e parity rows are k rows of the
+  // encoding matrix, hence invertible; their system reduces to the e x e
+  // block of the parity rows on the missing columns. Taking the first
+  // present parity rows picks the same k rows a full k x k solve would, so
+  // the result is the same even for inconsistent (corrupted) shard sets.
+  std::vector<std::size_t> parity;
+  for (std::size_t p = k_; p < k_ + m_ && parity.size() < e; ++p) {
+    if (shards[p].has_value()) parity.push_back(p);
+  }
+  if (parity.size() < e) return std::nullopt;
+
+  // syndromes[j] = parity_j - sum over present data d of E[p_j][d] * data_d,
+  // which leaves sum over missing d of E[p_j][d] * data_d.
+  std::vector<std::uint8_t> syndromes(e * shard_len);
+  Matrix a(e, e);
+  for (std::size_t j = 0; j < e; ++j) {
+    std::uint8_t* syn = syndromes.data() + j * shard_len;
+    std::copy(shards[parity[j]]->begin(), shards[parity[j]]->end(), syn);
+    const std::uint8_t* coeffs = enc_.row(parity[j]);
+    for (std::size_t d = 0; d < k_; ++d) {
+      if (shards[d].has_value()) GF256::mul_add_slice(syn, shards[d]->data(), shard_len, coeffs[d]);
+    }
+    for (std::size_t i = 0; i < e; ++i) a.set(j, i, coeffs[missing[i]]);
+  }
+
+  const Matrix inv = a.inverted();
+  for (std::size_t i = 0; i < e; ++i) {
+    out[i].assign(shard_len, 0);
+    for (std::size_t j = 0; j < e; ++j) {
+      GF256::mul_add_slice(out[i].data(), syndromes.data() + j * shard_len, shard_len,
+                           inv.at(i, j));
     }
   }
-  if (all_data) {
-    std::vector<std::vector<std::uint8_t>> out;
-    out.reserve(k_);
-    for (std::size_t i = 0; i < k_; ++i) out.push_back(*shards[i]);
-    return out;
+  return out;
+}
+
+std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
+    std::span<const std::optional<std::vector<std::uint8_t>>> shards) const {
+  std::vector<ShardView> views(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (shards[i].has_value()) views[i].emplace(*shards[i]);
   }
+  auto repaired = repair(views);
+  if (!repaired.has_value()) return std::nullopt;
 
-  // Gather the first k present shards (data shards first keeps the system
-  // mostly-identity, so elimination touches fewer rows).
-  std::vector<std::size_t> rows;
-  rows.reserve(k_);
-  for (std::size_t i = 0; i < k_ + m_ && rows.size() < k_; ++i) {
-    if (shards[i].has_value()) rows.push_back(i);
-  }
-  if (rows.size() < k_) return std::nullopt;
-
-  const Matrix sub = enc_.select_rows(rows);
-  const Matrix inv = sub.inverted();
-
-  std::vector<std::vector<std::uint8_t>> out(k_);
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(k_);
+  auto next = repaired->begin();
   for (std::size_t d = 0; d < k_; ++d) {
     if (shards[d].has_value()) {
-      out[d] = *shards[d];  // present data shard: copy through
-      continue;
-    }
-    out[d].assign(shard_len, 0);
-    const std::uint8_t* coeffs = inv.row(d);
-    for (std::size_t j = 0; j < k_; ++j) {
-      GF256::mul_add_slice(out[d].data(), shards[rows[j]]->data(), shard_len, coeffs[j]);
+      out.push_back(*shards[d]);
+    } else {
+      out.push_back(std::move(*next++));
     }
   }
   return out;

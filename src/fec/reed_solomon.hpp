@@ -30,8 +30,23 @@ class ReedSolomon {
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode(
       std::span<const std::vector<std::uint8_t>> data) const;
 
-  // shards: n entries; missing ones empty/nullopt. Returns the k data shards
-  // if at least k shards are present, std::nullopt otherwise.
+  // One shard slot as repair() reads it: engaged when the shard is present.
+  // An engaged empty span is a present zero-length shard, not a missing one.
+  using ShardView = std::optional<std::span<const std::uint8_t>>;
+
+  // Erasure-only repair. shards: n slots, data first. With e data shards
+  // missing, takes the first e present parity shards, subtracts the present
+  // data shards' contribution from them (syndromes) and solves the e x e
+  // system left, so only the missing shards are computed and nothing present
+  // is copied. Returns the rebuilt shards in ascending index order (none
+  // when every data shard is present), or std::nullopt when fewer than k
+  // shards are present or the present shards disagree in length.
+  [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> repair(
+      std::span<const ShardView> shards) const;
+
+  // shards: n entries; missing ones nullopt. Returns the k data shards if at
+  // least k shards are present, std::nullopt otherwise. A copying adapter
+  // over repair().
   [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> decode(
       std::span<const std::optional<std::vector<std::uint8_t>>> shards) const;
 

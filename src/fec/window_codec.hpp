@@ -4,6 +4,11 @@
 // 110-packet window (systematic code): a window is decodable from any 101 of
 // its 110 packets; because the code is systematic, even an undecodable
 // window yields every raw data packet that did arrive.
+//
+// A codec is immutable once built: encode and decode are const and keep no
+// caches (the GF(256) tables and kernel dispatch are function-local
+// statics), so a deployment builds one and every partition's worker reads it
+// concurrently. Keep it that way — a mutable cache here would be a data race.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +39,12 @@ class WindowCodec {
   // packet_bytes each; returns the parity packets.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_window(
       std::span<const std::vector<std::uint8_t>> data_packets) const;
+
+  // Rebuilds the window's missing data packets from views of whichever
+  // packets arrived (indexed 0..window_packets-1, data first; see
+  // ReedSolomon::repair). Returns only the rebuilt packets, ascending.
+  [[nodiscard]] std::optional<std::vector<std::vector<std::uint8_t>>> repair_window(
+      std::span<const ReedSolomon::ShardView> received) const;
 
   // Attempts to decode a window from whichever packets arrived (indexed
   // 0..window_packets-1, data first). Returns all data packets on success.

@@ -163,6 +163,15 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
       make_node(sim_of(NodeId{0}), *d->fabric_, *d->directory_, NodeId{0}, source_cfg);
   d->source_node_->attach(population_.source_capability);
 
+  // --- FEC codec ------------------------------------------------------------
+  // Real bytes on the wire: one immutable codec encodes at the source and
+  // decodes at every receiver, read concurrently across partitions.
+  if (stream_.stream.real_payloads) {
+    d->codec_.emplace(fec::WindowCodecConfig{.data_per_window = stream_.stream.data_per_window,
+                                             .parity_per_window = stream_.stream.parity_per_window,
+                                             .packet_bytes = stream_.stream.packet_bytes});
+  }
+
   // --- receivers ----------------------------------------------------------
   Rng noise_rng = Rng(seed_).fork(kNoiseStream);
 
@@ -194,13 +203,13 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
     // Signal-bus glue: deliveries -> player, request budget -> gate, window
     // cancellation -> the gossip module's subscription.
     r.node->emplace_module<stream::PlayerModule>(*r.player);
-    if (stream_.stream.real_payloads) {
+    if (d->codec_.has_value()) {
       // Real bytes on the wire: mount the online decoder so windows are
       // reconstructed (erasures repaired from parity) the moment any k of n
       // packets arrive. Sized/virtual runs mount nothing — decodability is
       // pure counting there, and the stack stays bit-identical to before
       // the FEC layer existed.
-      r.node->emplace_module<stream::FecModule>(stream_.stream, stream_.windows);
+      r.node->emplace_module<stream::FecModule>(*d->codec_, stream_.windows);
     }
     r.node->attach(r.info.actual_capacity);
     d->receivers_.push_back(std::move(r));
@@ -215,7 +224,7 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
 
   // --- stream source app ---------------------------------------------------
   d->source_ = std::make_unique<stream::StreamSource>(
-      sim_of(NodeId{0}), stream_.stream,
+      sim_of(NodeId{0}), stream_.stream, d->codec_.has_value() ? &*d->codec_ : nullptr,
       [source_node = d->source_node_.get()](gossip::Event e) {
         source_node->publish(std::move(e));
       });

@@ -18,6 +18,7 @@
 
 #include "common/assert.hpp"
 #include "core/node_runtime.hpp"
+#include "fec/window_codec.hpp"
 #include "membership/directory.hpp"
 #include "net/fabric.hpp"
 #include "scenario/distribution.hpp"
@@ -249,6 +250,9 @@ class Deployment {
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<membership::Directory> directory_;
   std::unique_ptr<core::NodeRuntime> source_node_;
+  // Real-payload runs only. Declared before source_ and receivers_, which
+  // hold references to it, so it outlives both.
+  std::optional<fec::WindowCodec> codec_;
   std::unique_ptr<stream::StreamSource> source_;
   std::vector<Receiver> receivers_;
   bool started_ = false;

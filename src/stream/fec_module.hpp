@@ -1,14 +1,19 @@
 // Online FEC decoding as a protocol-stack member.
 //
 // PlayerModule records *when* packets arrive; FecModule reconstructs *what*
-// arrived. It buffers the payload bytes of each window's delivered packets
-// and, the moment any k of the n coded packets are present (the MDS counting
-// rule), runs the Reed-Solomon decode: missing data packets are repaired
-// from parity, the reconstructed window is handed to an optional sink, and
-// the shard buffers are released. Riding the same deliveries() signal as the
-// player means decode happens at exactly the arrival the player stamps as
-// decode_time — and on which, in smart mode, it cancels the window's
-// outstanding requests/retransmit timers via window_cancelled().
+// arrived. It holds each window's delivered payloads and, the moment any k
+// of the n coded packets are present (the MDS counting rule), runs the
+// Reed-Solomon repair: missing data packets are rebuilt from parity, the
+// window's data packets are handed to an optional sink, and the shards are
+// released. Riding the same deliveries() signal as the player means decode
+// happens at exactly the arrival the player stamps as decode_time — and on
+// which, in smart mode, it cancels the window's outstanding
+// requests/retransmit timers via window_cancelled().
+//
+// Shards are the delivered net::BufferRef slices themselves, not copies: the
+// gossip EventRing pins the same bytes until gc anyway. They stay on this
+// node's partition, as net/buffer.hpp requires of every BufferRef. The codec
+// is the deployment's single read-only instance, shared by every receiver.
 //
 // Only meaningful in real-payload deployments (there are no bytes to decode
 // in sized or virtual runs — decodability there is pure counting, which the
@@ -18,22 +23,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/node_runtime.hpp"
 #include "fec/window_codec.hpp"
+#include "net/buffer.hpp"
 #include "stream/packet.hpp"
 
 namespace hg::stream {
 
 class FecModule final : public core::Protocol {
  public:
-  // Receives each window's k reconstructed data packets, in index order,
-  // immediately after its decode succeeds.
-  using WindowSink =
-      std::function<void(std::uint32_t window, std::span<const std::vector<std::uint8_t>> data)>;
+  // Receives each window's k data packets, in index order, immediately after
+  // its decode succeeds: views of the arrived payloads and of the repaired
+  // buffers, valid only for the duration of the call.
+  using WindowSink = std::function<void(std::uint32_t window,
+                                        std::span<const std::span<const std::uint8_t>> data)>;
 
   struct Stats {
     std::uint64_t windows_decoded = 0;    // windows fully reconstructed
@@ -43,7 +49,9 @@ class FecModule final : public core::Protocol {
     std::uint64_t malformed_packets = 0;  // payload size != packet_bytes, dropped
   };
 
-  FecModule(core::NodeRuntime& runtime, StreamConfig config, std::uint32_t windows_total);
+  // `codec` must outlive the module; Deployment owns one for all receivers.
+  FecModule(core::NodeRuntime& runtime, const fec::WindowCodec& codec,
+            std::uint32_t windows_total);
 
   [[nodiscard]] const char* name() const override { return "fec"; }
 
@@ -59,7 +67,8 @@ class FecModule final : public core::Protocol {
   struct WindowState {
     // Lazily sized to window_packets on the window's first arrival, released
     // after a successful decode — steady state holds only in-flight windows.
-    std::vector<std::optional<std::vector<std::uint8_t>>> shards;
+    // A null ref is a packet that has not arrived.
+    std::vector<net::BufferRef> shards;
     std::uint32_t present = 0;
     bool decoded = false;
   };
@@ -67,8 +76,7 @@ class FecModule final : public core::Protocol {
   void on_deliver(const gossip::Event& event);
   void try_decode(std::uint32_t w);
 
-  StreamConfig config_;
-  fec::WindowCodec codec_;
+  const fec::WindowCodec& codec_;
   std::vector<WindowState> windows_;
   Stats stats_;
   WindowSink sink_;

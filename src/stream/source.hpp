@@ -20,7 +20,10 @@ class StreamSource {
  public:
   using PublishFn = std::function<void(gossip::Event)>;
 
-  StreamSource(sim::Simulator& simulator, StreamConfig config, PublishFn publish);
+  // `codec` encodes the parity packets of a real-payload stream and must
+  // outlive the source; it is null unless config.real_payloads is set.
+  StreamSource(sim::Simulator& simulator, StreamConfig config, const fec::WindowCodec* codec,
+               PublishFn publish);
 
   // Streams `windows` complete FEC windows, starting `initial_delay` from
   // now.
@@ -45,7 +48,7 @@ class StreamSource {
   sim::Simulator& sim_;
   StreamConfig config_;
   PublishFn publish_;
-  std::unique_ptr<fec::WindowCodec> codec_;  // only in real-payload mode
+  const fec::WindowCodec* codec_;            // only in real-payload mode
   net::BufferRef zero_payload_;              // sized mode: one buffer, shared by refcount
 
   sim::SimTime t0_;  // publication time of packet (0,0)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
+#include "fec/window_codec.hpp"
 
 namespace hg::fec {
 namespace {
@@ -14,6 +17,31 @@ std::vector<std::vector<std::uint8_t>> random_shards(std::size_t k, std::size_t 
     for (auto& b : s) b = static_cast<std::uint8_t>(rng.below(256));
   }
   return shards;
+}
+
+std::vector<ReedSolomon::ShardView> views_of(
+    const std::vector<std::optional<std::vector<std::uint8_t>>>& shards) {
+  std::vector<ReedSolomon::ShardView> views(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (shards[i].has_value()) views[i].emplace(*shards[i]);
+  }
+  return views;
+}
+
+// The view-based repair must agree with decode() on the same shard set: both
+// fail, or repair returns exactly the missing data shards in index order.
+void expect_repair_agrees(const ReedSolomon& rs,
+                          const std::vector<std::vector<std::uint8_t>>& data,
+                          const std::vector<std::optional<std::vector<std::uint8_t>>>& shards) {
+  const auto repaired = rs.repair(views_of(shards));
+  const auto decoded = rs.decode(shards);
+  ASSERT_EQ(repaired.has_value(), decoded.has_value());
+  if (!repaired.has_value()) return;
+  std::vector<std::vector<std::uint8_t>> missing;
+  for (std::size_t d = 0; d < rs.data_shards(); ++d) {
+    if (!shards[d].has_value()) missing.push_back(data[d]);
+  }
+  EXPECT_EQ(*repaired, missing);
 }
 
 TEST(ReedSolomon, SystematicEncodingMatrixShape) {
@@ -116,6 +144,39 @@ TEST_P(ReedSolomonSweep, AnyKOfNReconstructs) {
   } else {
     EXPECT_FALSE(out.has_value());
   }
+  expect_repair_agrees(rs, data, shards);
+
+  // Erasure-only repair: fewer than m data shards missing, the surviving
+  // parity scattered (so the first e present parity shards are not parity
+  // 0..e-1) and at least one more parity shard present than the repair
+  // uses. The view-based repair and the window codec must both rebuild
+  // exactly the encoded data, and one mismatched-length present shard must
+  // fail both.
+  if (m < 2) return;
+  const WindowCodec codec(
+      WindowCodecConfig{.data_per_window = k, .parity_per_window = m, .packet_bytes = 24});
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t e = 1 + rng.below(std::min(k, m - 1));  // 1 .. min(k, m-1)
+    std::vector<std::optional<std::vector<std::uint8_t>>> pattern(k + m);
+    for (std::size_t i = 0; i < k; ++i) pattern[i] = data[i];
+    std::vector<std::uint32_t> lost;
+    rng.sample_indices(k, e, lost);
+    for (auto d : lost) pattern[d].reset();
+    const std::size_t parity_kept = e + 1 + rng.below(m - e);  // e+1 .. m
+    std::vector<std::uint32_t> kept;
+    rng.sample_indices(m, parity_kept, kept);
+    for (auto p : kept) pattern[k + p] = parity[p];
+
+    expect_repair_agrees(rs, data, pattern);
+    auto decoded = codec.decode_window(pattern);
+    ASSERT_TRUE(decoded.has_value()) << "trial " << trial << " e=" << e;
+    EXPECT_EQ(*decoded, data);
+
+    auto& victim = pattern[k + kept[rng.below(kept.size())]];
+    victim->push_back(0);
+    EXPECT_FALSE(rs.repair(views_of(pattern)).has_value()) << "trial " << trial;
+    EXPECT_FALSE(codec.decode_window(pattern).has_value()) << "trial " << trial;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,6 +225,7 @@ TEST(ReedSolomon, DecodeRejectsMixedLengthsOnBothPaths) {
   for (std::size_t i = 0; i < 4; ++i) shards[i] = data[i];
   shards[1]->pop_back();
   EXPECT_FALSE(rs.decode(shards).has_value());
+  EXPECT_FALSE(rs.repair(views_of(shards)).has_value());
 
   // Elimination path: a parity shard feeding reconstruction is long.
   shards[1] = data[1];
@@ -171,6 +233,7 @@ TEST(ReedSolomon, DecodeRejectsMixedLengthsOnBothPaths) {
   shards[4] = parity[0];
   shards[4]->push_back(7);
   EXPECT_FALSE(rs.decode(shards).has_value());
+  EXPECT_FALSE(rs.repair(views_of(shards)).has_value());
 
   // A present-but-unused shard (beyond the first k) still fails the window:
   // equal length is a property of the whole shard set.
@@ -178,12 +241,36 @@ TEST(ReedSolomon, DecodeRejectsMixedLengthsOnBothPaths) {
   shards[5] = parity[1];
   shards[5]->pop_back();
   EXPECT_FALSE(rs.decode(shards).has_value());
+  EXPECT_FALSE(rs.repair(views_of(shards)).has_value());
 
   // Sanity: with lengths restored the same pattern decodes.
   shards[5] = parity[1];
   auto out = rs.decode(shards);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, data);
+}
+
+TEST(ReedSolomon, ZeroLengthShardsAreShardsNotErasures) {
+  // A present zero-length shard counts toward k: the window decodes to k
+  // empty shards, and missing ones are rebuilt as empty, never confused
+  // with the shards that arrived.
+  ReedSolomon rs(3, 2);
+  const std::vector<std::vector<std::uint8_t>> empty(3);
+  std::vector<std::optional<std::vector<std::uint8_t>>> shards(5, std::vector<std::uint8_t>{});
+  shards[0].reset();
+  shards[2].reset();
+  auto out = rs.decode(shards);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, empty);
+  expect_repair_agrees(rs, empty, shards);
+
+  shards[3].reset();  // only 2 of 3 left
+  EXPECT_FALSE(rs.decode(shards).has_value());
+  EXPECT_FALSE(rs.repair(views_of(shards)).has_value());
+
+  shards[3] = std::vector<std::uint8_t>{1};  // 3 present, lengths 0 and 1
+  EXPECT_FALSE(rs.decode(shards).has_value());
+  EXPECT_FALSE(rs.repair(views_of(shards)).has_value());
 }
 
 TEST(ReedSolomon, ZeroParityIsTheDegenerateIdentityCode) {
@@ -223,6 +310,7 @@ TEST(ReedSolomon, ErasureFuzzRandomSubsets) {
     std::vector<std::optional<std::vector<std::uint8_t>>> shards(n);
     for (auto i : kept) shards[i] = full(i);
 
+    expect_repair_agrees(rs, data, shards);
     auto out = rs.decode(shards);
     if (should_decode) {
       ASSERT_TRUE(out.has_value()) << "trial " << trial << " keep=" << keep;
@@ -232,7 +320,9 @@ TEST(ReedSolomon, ErasureFuzzRandomSubsets) {
       // Systematic passthrough: the raw data shards that arrived are usable
       // as-is even though the window cannot be decoded.
       for (auto i : kept) {
-        if (i < k) EXPECT_EQ(*shards[i], data[i]);
+        if (i < k) {
+          EXPECT_EQ(*shards[i], data[i]);
+        }
       }
     }
   }

@@ -284,6 +284,27 @@ TEST(Experiment, FecModuleDecodesOnlineInRealPayloadDeployments) {
   EXPECT_GT(repaired, 0u);
 }
 
+TEST(Experiment, RealPayloadReceiversShareOneCodec) {
+  // A codec is immutable and costs milliseconds to build, so a deployment
+  // builds one and every receiver's FecModule decodes with that instance.
+  auto cfg = small_cfg(core::Mode::kHeap, BandwidthDistribution::ref691(),
+                       /*nodes=*/20, /*windows=*/1);
+  cfg.stream.real_payloads = true;
+  Experiment exp(cfg);
+  exp.run();
+
+  const auto* first = exp.node(0).find_module<stream::FecModule>();
+  ASSERT_NE(first, nullptr);
+  std::uint64_t decoded = 0;
+  for (std::size_t i = 0; i < exp.receivers(); ++i) {
+    const auto* fec = exp.node(i).find_module<stream::FecModule>();
+    ASSERT_NE(fec, nullptr) << "receiver " << i;
+    EXPECT_EQ(&fec->codec(), &first->codec()) << "receiver " << i;
+    decoded += fec->stats().windows_decoded;
+  }
+  EXPECT_GT(decoded, 0u);
+}
+
 TEST(Experiment, SmartReceiverCancellationReachesTheGossipEngine) {
   // Decode-on-k cancellation observability: smart receivers cancel each
   // window once it is decodable, and the gossip stats record both the

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "scenario/report.hpp"
+#include "stream/fec_module.hpp"
 #include "stream/lag_analyzer.hpp"
 
 namespace hg::scenario {
@@ -154,6 +155,52 @@ TEST(ParallelDeterminism, ChurnAndDetectionStayDeterministic) {
   for (std::size_t workers : {3u, 8u}) {
     EXPECT_EQ(with_churn(workers), base) << "workers=" << workers;
   }
+}
+
+// Real payloads on the sharded engine: every receiver's FecModule holds the
+// delivered BufferRef slices of its own partition and decodes with the
+// deployment's one shared codec, read by every worker at once. Decodes,
+// repairs and the player's decode times must not depend on the worker count.
+TEST(ParallelDeterminism, RealPayloadFecIsWorkerInvariant) {
+  auto fec_digest = [](std::size_t workers) {
+    ExperimentConfig cfg = parallel_cfg(workers);
+    cfg.node_count = 200;
+    cfg.stream_windows = 3;
+    cfg.loss_rate = 0.02;
+    cfg.stream.real_payloads = true;
+    Experiment e(cfg);
+    e.run();
+
+    std::string out;
+    char buf[160];
+    std::uint64_t decoded = 0, repaired = 0;
+    for (std::size_t i = 0; i < e.receivers(); ++i) {
+      const auto* fec = e.node(i).find_module<stream::FecModule>();
+      if (fec == nullptr) return std::string("receiver without FecModule");
+      const stream::FecModule::Stats& st = fec->stats();
+      decoded += st.windows_decoded;
+      repaired += st.erasures_repaired;
+      std::snprintf(buf, sizeof buf, "%zu: %llu %llu %llu %llu %llu |", i,
+                    static_cast<unsigned long long>(st.windows_decoded),
+                    static_cast<unsigned long long>(st.windows_complete),
+                    static_cast<unsigned long long>(st.erasures_repaired),
+                    static_cast<unsigned long long>(st.decode_failures),
+                    static_cast<unsigned long long>(st.malformed_packets));
+      out += buf;
+      for (std::uint32_t w = 0; w < cfg.stream_windows; ++w) {
+        out += " " + std::to_string(e.player(i).window(w).decode_time.as_us());
+      }
+      out += "\n";
+    }
+    std::snprintf(buf, sizeof buf, "decoded=%llu repaired=%llu\n",
+                  static_cast<unsigned long long>(decoded),
+                  static_cast<unsigned long long>(repaired));
+    return out + buf;
+  };
+  const std::string base = fec_digest(1);
+  // Loss makes parity repair happen, not just all-data windows.
+  EXPECT_EQ(base.find("repaired=0\n"), std::string::npos) << base.substr(base.rfind("decoded="));
+  EXPECT_EQ(fec_digest(4), base);
 }
 
 // A sharded churn deployment driven in 1 s run_until slices must equal one

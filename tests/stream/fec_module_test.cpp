@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "stream/packet.hpp"
 
 namespace hg::stream {
@@ -17,20 +19,28 @@ StreamConfig small_stream() {
   return cfg;
 }
 
+fec::WindowCodec make_codec(const StreamConfig& cfg) {
+  return fec::WindowCodec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
+                                                 .parity_per_window = cfg.parity_per_window,
+                                                 .packet_bytes = cfg.packet_bytes});
+}
+
 struct Rig {
   sim::Simulator sim{7};
+  fec::WindowCodec codec;  // the rig's own; a Deployment shares one across receivers
   net::NetworkFabric fabric;
   membership::Directory directory;
   std::unique_ptr<core::NodeRuntime> node;
   FecModule* fec = nullptr;
 
-  explicit Rig(StreamConfig cfg, std::uint32_t windows)
-      : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+  explicit Rig(const StreamConfig& cfg, std::uint32_t windows)
+      : codec(make_codec(cfg)),
+        fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                std::make_unique<net::NoLoss>()),
         directory(sim, membership::DetectionConfig{}) {
     directory.add_node(NodeId{0});
     node = core::NodeRuntime::make(sim, fabric, directory, NodeId{0}, core::NodeConfig{});
-    fec = &node->emplace_module<FecModule>(cfg, windows);
+    fec = &node->emplace_module<FecModule>(codec, windows);
   }
 
   void deliver(std::uint32_t w, std::uint16_t i, const std::vector<std::uint8_t>& bytes) {
@@ -49,10 +59,7 @@ struct CodedWindow {
     for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) {
       data.push_back(synth_payload_bytes(w, i, cfg.packet_bytes));
     }
-    fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
-                                                  .parity_per_window = cfg.parity_per_window,
-                                                  .packet_bytes = cfg.packet_bytes});
-    parity = codec.encode_window(data);
+    parity = make_codec(cfg).encode_window(data);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& packet(const StreamConfig& cfg,
@@ -68,12 +75,12 @@ TEST(FecModule, DecodesAtTheKthArrivalAndRepairsErasures) {
 
   std::uint32_t sink_calls = 0;
   rig.fec->set_window_sink(
-      [&](std::uint32_t w, std::span<const std::vector<std::uint8_t>> decoded) {
+      [&](std::uint32_t w, std::span<const std::span<const std::uint8_t>> decoded) {
         ++sink_calls;
         EXPECT_EQ(w, 0u);
         ASSERT_EQ(decoded.size(), cfg.data_per_window);
         for (std::uint16_t i = 0; i < cfg.data_per_window; ++i) {
-          EXPECT_EQ(decoded[i], win.data[i]) << "packet " << i;
+          EXPECT_TRUE(std::ranges::equal(decoded[i], win.data[i])) << "packet " << i;
         }
       });
 

@@ -33,7 +33,7 @@ TEST(StreamConfig, PaperRates) {
 TEST(StreamSource, EmitsAllPacketsOnSchedule) {
   sim::Simulator sim(1);
   std::vector<std::pair<gossip::EventId, sim::SimTime>> published;
-  StreamSource source(sim, tiny_stream(),
+  StreamSource source(sim, tiny_stream(), /*codec=*/nullptr,
                       [&](gossip::Event e) { published.emplace_back(e.id, sim.now()); });
   source.start(sim::SimTime::sec(1), 3);
   sim.run_until(sim::SimTime::sec(10));
@@ -51,7 +51,7 @@ TEST(StreamSource, EmitsAllPacketsOnSchedule) {
 TEST(StreamSource, EmissionRateMatchesEffectiveRate) {
   sim::Simulator sim(2);
   std::size_t count = 0;
-  StreamSource source(sim, tiny_stream(), [&](gossip::Event) { ++count; });
+  StreamSource source(sim, tiny_stream(), /*codec=*/nullptr, [&](gossip::Event) { ++count; });
   source.start(sim::SimTime::zero(), 10);
   sim.run_until(sim::SimTime::sec(0.5));
   // 0.1 s per window of 10 packets -> 100 packets per second.
@@ -61,7 +61,8 @@ TEST(StreamSource, EmissionRateMatchesEffectiveRate) {
 TEST(StreamSource, SizedModeSharesOnePayloadBuffer) {
   sim::Simulator sim(3);
   std::vector<gossip::Event> events;
-  StreamSource source(sim, tiny_stream(), [&](gossip::Event e) { events.push_back(e); });
+  StreamSource source(sim, tiny_stream(), /*codec=*/nullptr,
+                      [&](gossip::Event e) { events.push_back(e); });
   source.start(sim::SimTime::zero(), 2);
   sim.run_until(sim::SimTime::sec(1));
   ASSERT_GE(events.size(), 2u);
@@ -72,17 +73,17 @@ TEST(StreamSource, SizedModeSharesOnePayloadBuffer) {
 TEST(StreamSource, RealModeParityDecodes) {
   auto cfg = tiny_stream();
   cfg.real_payloads = true;
+  const fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
+                                                      .parity_per_window = cfg.parity_per_window,
+                                                      .packet_bytes = cfg.packet_bytes});
   sim::Simulator sim(4);
   std::vector<gossip::Event> events;
-  StreamSource source(sim, cfg, [&](gossip::Event e) { events.push_back(e); });
+  StreamSource source(sim, cfg, &codec, [&](gossip::Event e) { events.push_back(e); });
   source.start(sim::SimTime::zero(), 1);
   sim.run_until(sim::SimTime::sec(1));
   ASSERT_EQ(events.size(), 10u);
 
-  // Drop two data packets; decode from the rest via the window codec.
-  fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = cfg.data_per_window,
-                                                .parity_per_window = cfg.parity_per_window,
-                                                .packet_bytes = cfg.packet_bytes});
+  // Drop two data packets; decode from the rest with the same codec.
   std::vector<std::optional<std::vector<std::uint8_t>>> received(10);
   for (const auto& e : events) {
     if (e.id.index() == 1 || e.id.index() == 4) continue;
@@ -92,6 +93,24 @@ TEST(StreamSource, RealModeParityDecodes) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ((*decoded)[1], synth_payload(0, 1, cfg.packet_bytes).to_vector());
   EXPECT_EQ((*decoded)[4], synth_payload(0, 4, cfg.packet_bytes).to_vector());
+}
+
+TEST(StreamSourceDeathTest, CodecMustMatchThePayloadMode) {
+  // The source borrows the deployment's codec: one is passed exactly when
+  // real_payloads is set, and its geometry must be the stream's.
+  auto real = tiny_stream();
+  real.real_payloads = true;
+  const fec::WindowCodec codec(fec::WindowCodecConfig{.data_per_window = real.data_per_window,
+                                                      .parity_per_window = real.parity_per_window,
+                                                      .packet_bytes = real.packet_bytes});
+  const fec::WindowCodec other(fec::WindowCodecConfig{.data_per_window = real.data_per_window,
+                                                      .parity_per_window = 1,
+                                                      .packet_bytes = real.packet_bytes});
+  sim::Simulator sim(5);
+  auto publish = [](gossip::Event) {};
+  EXPECT_DEATH(StreamSource(sim, real, nullptr, publish), "real_payloads");
+  EXPECT_DEATH(StreamSource(sim, tiny_stream(), &codec, publish), "real_payloads");
+  EXPECT_DEATH(StreamSource(sim, real, &other, publish), "geometry");
 }
 
 struct PlayerHarness {
@@ -163,7 +182,7 @@ struct AnalyzerHarness {
 
   // Window timing: w0 completes at 0.1 s, w1 at 0.2 s, w2 at 0.3 s.
   AnalyzerHarness() {
-    source = std::make_unique<StreamSource>(sim, cfg, [](gossip::Event) {});
+    source = std::make_unique<StreamSource>(sim, cfg, /*codec=*/nullptr, [](gossip::Event) {});
     source->start(sim::SimTime::zero(), 3);
     player = std::make_unique<Player>(sim, cfg, 3);
     analyzer = std::make_unique<LagAnalyzer>(*source);
