@@ -151,7 +151,7 @@ double time_rung(const scenario::ExperimentConfig& base, const std::vector<std::
                              [&](scenario::Experiment& e) {
                                RunStats s = analyze(e);
                                s.events = e.events_executed();
-                               if (e.deployment().parallel()) {
+                               if (workers > 0) {  // sharded runs, P == 1 included
                                  const auto& eng = e.deployment().engine();
                                  s.partitions = eng.partitions();
                                  s.epochs_run = eng.epochs_run();

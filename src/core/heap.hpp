@@ -52,5 +52,3 @@
 #include "stream/player.hpp"
 #include "stream/player_module.hpp"
 #include "stream/source.hpp"
-#include "tree/static_tree.hpp"
-#include "tree/tree_module.hpp"

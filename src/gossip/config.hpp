@@ -71,7 +71,7 @@ struct GossipConfig {
   // fast-forward over quiescent stretches. Only valid under the sharded
   // P >= 2 engine (keyed delivery ordering makes a grid tick run before
   // same-instant arrivals, matching the periodic timer exactly); the
-  // sequential engine keeps the periodic timer and its bitwise-frozen
+  // one-partition engine keeps the periodic timer and its bitwise-frozen
   // event interleaving. The scenario layer sets this, not users.
   bool park_idle_rounds = false;
 };

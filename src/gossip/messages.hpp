@@ -26,7 +26,7 @@ enum class MsgTag : std::uint8_t {
   kAggregation = 4,
   kCyclonRequest = 5,
   kCyclonReply = 6,
-  kTreePush = 7,
+  kTreePush = 7,  // no module claims it; still inside peek_tag's accepted range
 };
 
 // The canonical (window, index) event identifier lives in common/types.hpp

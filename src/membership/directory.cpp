@@ -6,22 +6,8 @@
 
 namespace hg::membership {
 
-Directory::Directory(sim::Simulator& simulator, DetectionConfig detection)
-    : detection_(detection),
-      schedule_at_([sim = &simulator](sim::SimTime at, std::function<void()> fn) {
-        sim->after_fire_and_forget(at - sim->now(), std::move(fn));
-      }),
-      now_([sim = &simulator]() { return sim->now(); }),
-      rng_(simulator.make_rng(kDirectoryStream)) {}
-
-Directory::Directory(DetectionConfig detection, Rng rng, ScheduleAtFn schedule_at, NowFn now)
-    : detection_(detection),
-      schedule_at_(std::move(schedule_at)),
-      now_(std::move(now)),
-      rng_(std::move(rng)) {
-  HG_ASSERT(schedule_at_ != nullptr);
-  HG_ASSERT(now_ != nullptr);
-}
+Directory::Directory(sim::ShardedEngine& engine, DetectionConfig detection)
+    : engine_(engine), detection_(detection), rng_(engine.make_rng(kDirectoryStream)) {}
 
 void Directory::add_node(NodeId id) {
   HG_ASSERT_MSG(id.value() == alive_.size(), "add nodes with consecutive ids from 0");
@@ -34,7 +20,7 @@ void Directory::kill(NodeId id) {
   if (!alive_[id.value()]) return;
   alive_[id.value()] = false;
   --alive_count_;
-  const sim::SimTime now = now_();
+  const sim::SimTime now = engine_.now();
   const std::int64_t tick = detection_.wheel_tick.as_us();
   HG_ASSERT_MSG(tick > 0, "DetectionConfig::wheel_tick must be positive");
   for (LocalView* view : views_) {
@@ -51,7 +37,8 @@ void Directory::kill(NodeId id) {
     const auto [it, inserted] = wheel_.try_emplace(bucket);
     it->second.push_back(Detection{observer, id});
     if (inserted) {
-      schedule_at_(sim::SimTime::us(bucket * tick), [this, bucket]() { drain(bucket); });
+      engine_.schedule_control(sim::SimTime::us(bucket * tick),
+                               [this, bucket]() { drain(bucket); });
     }
   }
 }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -17,15 +16,14 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace hg::membership {
 
 class LocalView;
 
-// Root stream tag of the directory's detection-delay RNG. The sequential
-// constructor forks it from its Simulator; engine-agnostic wiring should pass
-// engine.make_rng(kDirectoryStream) so both modes draw the same stream.
+// Root stream tag of the directory's detection-delay RNG, forked from the
+// engine's root stream.
 inline constexpr std::uint64_t kDirectoryStream = 0x4d454d42;  // "MEMB"
 
 struct DetectionConfig {
@@ -41,16 +39,9 @@ struct DetectionConfig {
 
 class Directory {
  public:
-  // Schedules `fn` at the absolute time given (used for wheel drains).
-  using ScheduleAtFn = std::function<void(sim::SimTime, std::function<void()>)>;
-  using NowFn = std::function<sim::SimTime()>;
-
-  Directory(sim::Simulator& simulator, DetectionConfig detection);
-
-  // Engine-agnostic wiring (sharded runs schedule drains as barrier control
-  // tasks): `schedule_at` must execute callbacks single-threaded while the
-  // membership state is quiescent.
-  Directory(DetectionConfig detection, Rng rng, ScheduleAtFn schedule_at, NowFn now);
+  // Wheel drains run as the engine's control tasks: single-threaded, while
+  // the membership state is quiescent (with one partition, plain events).
+  Directory(sim::ShardedEngine& engine, DetectionConfig detection);
 
   // Adds a node; all ids must be consecutive from 0.
   void add_node(NodeId id);
@@ -79,9 +70,8 @@ class Directory {
   [[nodiscard]] LocalView* view_of(NodeId owner) const;
   void drain(std::int64_t bucket);
 
+  sim::ShardedEngine& engine_;
   DetectionConfig detection_;
-  ScheduleAtFn schedule_at_;
-  NowFn now_;
   std::vector<bool> alive_;
   std::size_t alive_count_ = 0;
   // Registration order (kill() draws per-observer detection delays in this

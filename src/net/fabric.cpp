@@ -14,24 +14,12 @@ constexpr std::uint64_t kSenderStream = 0x534e4452;    // "SNDR"
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
-NetworkFabric::NetworkFabric(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
-                             std::unique_ptr<LossModel> loss, FabricConfig config)
-    : sim_(&simulator),
-      latency_(std::move(latency)),
-      loss_(std::move(loss)),
-      config_(config),
-      rng_(simulator.make_rng(kFabricStream)) {
-  HG_ASSERT(latency_ != nullptr);
-  HG_ASSERT(loss_ != nullptr);
-}
-
 NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<LatencyModel> latency,
                              std::unique_ptr<LossModel> loss, FabricConfig config)
     : engine_(&engine),
       latency_(std::move(latency)),
       loss_(std::move(loss)),
-      config_(config),
-      rng_(engine.make_rng(kFabricStream)) {
+      config_(config) {
   HG_ASSERT(latency_ != nullptr);
   HG_ASSERT(loss_ != nullptr);
   HG_ASSERT_MSG(engine.partitions() == 1 || latency_->min_delay() >= engine.epoch(),
@@ -42,6 +30,8 @@ NetworkFabric::NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<Latency
   loss_->prepare(engine.node_count());
   parts_.reserve(engine.partitions());
   for (std::uint32_t p = 0; p < engine.partitions(); ++p) {
+    // Every partition Simulator is seeded with the run seed, so partition 0's
+    // stream is engine.make_rng(kFabricStream) — the one a P == 1 run draws.
     parts_.emplace_back(&engine.sim_of(p), engine.sim_of(p).make_rng(kFabricStream));
     parts_.back().blocks.resize(engine.partitions());
     parts_.back().import_segs.resize(engine.partitions());
@@ -67,9 +57,9 @@ void NetworkFabric::register_node(NodeId id, BitRate upload_capacity, ReceiveFn 
                 "register nodes with consecutive ids from 0 (shards index by id)");
   if (id.value() / kShardSize == shards_.size()) shards_.push_back(std::make_unique<Shard>());
   Shard& s = *shards_.back();
-  // Node_count_ is bumped after sim_for (it asserts against the engine's
-  // node table, which already covers this id).
-  s.links.emplace_back(sim_for(id), upload_capacity, config_.discipline,
+  // Node_count_ is bumped after sim_of_node (it asserts against the
+  // engine's node table, which already covers this id).
+  s.links.emplace_back(engine_->sim_of_node(id.value()), upload_capacity, config_.discipline,
                        [this](Datagram&& d) { on_wire(std::move(d)); });
   s.receive.push_back(std::move(receive));
   s.meters.emplace_back();
@@ -109,28 +99,27 @@ void NetworkFabric::on_wire(Datagram&& d) {
   // bandwidth" means (Fig. 4), loss or not.
   shard(d.src).meters[index_in_shard(d.src)].on_sent(d.cls, d.wire_bytes());
   if (!sender_streams()) {
-    // Sequential semantics (also P == 1 sharded: everything is local, the
-    // shared stream draws in event order — bitwise the sequential engine).
-    // Loss is evaluated when the datagram leaves the sender.
-    if (loss_->lost(d.src, d.dst, rng_)) {
-      ++lost_;
+    // One partition: everything is local and the shared stream draws in
+    // event order. Loss is evaluated when the datagram leaves the sender.
+    Partition& part = parts_[0];
+    if (loss_->lost(d.src, d.dst, part.rng)) {
+      ++part.lost;
       shard(d.src).meters[index_in_shard(d.src)].on_dropped_in_flight(d.wire_bytes());
       return;
     }
-    const sim::SimTime delay = latency_->sample(d.src, d.dst, rng_);
-    sim::Simulator& s = sim_ != nullptr ? *sim_ : *parts_[0].sim;
-    s.after_fire_and_forget(delay, [this, d = std::move(d)]() {
+    const sim::SimTime delay = latency_->sample(d.src, d.dst, part.rng);
+    part.sim->after_fire_and_forget(delay, [this, d = std::move(d)]() {
       Shard& r = shard(d.dst);
       const std::size_t i = index_in_shard(d.dst);
       if (r.alive[i] == 0) return;  // crashed while in flight
-      ++delivered_;
+      ++parts_[0].delivered;
       r.meters[i].on_received(d.cls, d.wire_bytes());
       if (r.receive[i]) r.receive[i](d);
     });
     return;
   }
 
-  // Sharded path (P >= 2): this runs on the *sender's* partition (the upload
+  // P >= 2: this runs on the *sender's* partition (the upload
   // link schedules its transmit completions there). Loss and latency draw
   // from the sender node's private stream, and the send sequence number
   // counts per sender — both functions of the run alone, so every partition
@@ -168,14 +157,9 @@ void NetworkFabric::on_wire(Datagram&& d) {
   }
   ++part.xpart_datagrams;
   part.xpart_bytes += d.bytes.size();
-  const sim::SimTime arrive = part.sim->now() + delay;
-  if (config_.exchange == FabricConfig::ExchangeMode::kBatched) {
-    pack_outgoing(part.blocks[dp], arrive, tb, d);
-    // `d` dies here: the original buffer recycles into this worker's pool
-    // immediately instead of pinning until the barrier.
-  } else {
-    part.outbox.push_back(OutMsg{std::move(d), arrive, tb, sp, dp});
-  }
+  pack_outgoing(part.blocks[dp], part.sim->now() + delay, tb, d);
+  // `d` dies here: the original buffer recycles into this worker's pool
+  // immediately instead of pinning until the barrier.
 }
 
 void NetworkFabric::pack_outgoing(PackBlock& block, sim::SimTime arrive, std::uint64_t tiebreak,
@@ -217,18 +201,9 @@ void NetworkFabric::begin_epoch(std::uint32_t partition) {
     b.recs.clear();
     b.segs.clear();
   }
-  p.outbox.clear();
 }
 
 void NetworkFabric::exchange(std::uint32_t partition) {
-  if (config_.exchange == FabricConfig::ExchangeMode::kBatched) {
-    exchange_batched(partition);
-  } else {
-    exchange_deep_copy(partition);
-  }
-}
-
-void NetworkFabric::exchange_batched(std::uint32_t partition) {
   Partition& dst = parts_[partition];
   dst.import_order.clear();
   // Copy every inbound segment wholesale into this worker's pool — one
@@ -270,48 +245,14 @@ void NetworkFabric::exchange_batched(std::uint32_t partition) {
   for (std::vector<BufferRef>& segs : dst.import_segs) segs.clear();
 }
 
-void NetworkFabric::exchange_deep_copy(std::uint32_t partition) {
-  Partition& dst = parts_[partition];
-  dst.import_order.clear();
-  for (std::uint32_t sp = 0; sp < parts_.size(); ++sp) {
-    const std::vector<OutMsg>& outbox = parts_[sp].outbox;
-    for (std::uint32_t i = 0; i < outbox.size(); ++i) {
-      if (outbox[i].dst_partition == partition) dst.import_order.emplace_back(sp, i);
-    }
-  }
-  // Same canonical order as the batched path: arrival, tiebreak, source
-  // partition, send order (outbox index order is send order).
-  const auto msg = [&](const std::pair<std::uint32_t, std::uint32_t>& e) -> const OutMsg& {
-    return parts_[e.first].outbox[e.second];
-  };
-  std::sort(dst.import_order.begin(), dst.import_order.end(),
-            [&msg](const auto& a, const auto& b) {
-              const OutMsg& ma = msg(a);
-              const OutMsg& mb = msg(b);
-              if (ma.arrive != mb.arrive) return ma.arrive < mb.arrive;
-              if (ma.tiebreak != mb.tiebreak) return ma.tiebreak < mb.tiebreak;
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  for (const auto& e : dst.import_order) {
-    const OutMsg& m = msg(e);
-    // Deep copy on the importing worker's thread: destination-held bytes
-    // must belong to the destination's thread-local pool.
-    Datagram copy{m.d.src, m.d.dst, m.d.cls, BufferRef::copy_of(m.d.bytes.bytes()),
-                  m.d.phantom_bytes};
-    dst.sim->at_keyed(m.arrive, m.tiebreak, [this, c = std::move(copy)]() { deliver_parallel(c); });
-  }
-  dst.import_order.clear();
-}
-
 std::uint64_t NetworkFabric::datagrams_lost() const {
-  std::uint64_t total = lost_;
+  std::uint64_t total = 0;
   for (const Partition& p : parts_) total += p.lost;
   return total;
 }
 
 std::uint64_t NetworkFabric::datagrams_delivered() const {
-  std::uint64_t total = delivered_;
+  std::uint64_t total = 0;
   for (const Partition& p : parts_) total += p.delivered;
   return total;
 }
@@ -332,7 +273,7 @@ void NetworkFabric::kill(NodeId id) {
   // only change while the workers are parked at a barrier (control tasks,
   // setup/teardown). A mid-epoch kill would be a data race AND a determinism
   // hole (delivery would depend on thread timing) — abort instead.
-  HG_ASSERT_MSG(engine_ == nullptr || engine_->quiescent(),
+  HG_ASSERT_MSG(engine_->quiescent(),
                 "NetworkFabric::kill outside a barrier: crash-stop must run from a "
                 "control task (ShardedEngine::schedule_control), never from a "
                 "worker-driven event");
@@ -346,7 +287,7 @@ void NetworkFabric::kill(NodeId id) {
 void NetworkFabric::set_capacity(NodeId id, BitRate capacity) {
   // Same discipline as kill(): the capacity feeds concurrent transmit-time
   // math on the owner's worker; reconfigure only between epochs.
-  HG_ASSERT_MSG(engine_ == nullptr || engine_->quiescent(),
+  HG_ASSERT_MSG(engine_->quiescent(),
                 "NetworkFabric::set_capacity outside a barrier: reconfigure links from "
                 "a control task, never from a worker-driven event");
   link_mut(id).set_capacity(capacity);

@@ -15,18 +15,16 @@
 // and meter bump of a delivery touch two small arrays instead of a scattered
 // 100-byte Entry.
 //
-// Two execution modes share this class:
-//  * sequential — one Simulator drives everything (the classic engine). A
-//    single-partition ShardedEngine uses this path too: one partition means
-//    every send is local, so the shared-stream sequential semantics apply
-//    unchanged and results are bit-identical to the sequential engine.
-//  * sharded (P >= 2) — a sim::ShardedEngine drives per-partition
-//    Simulators. Loss and latency then draw from *per-sender-node* streams
-//    (seeded from the run seed and the node id alone), send-order tiebreaks
-//    count per sender, and same-time deliveries are keyed by the tiebreak:
-//    every random draw and every event ordering becomes a function of the
-//    run seed and node ids — never of the partition layout — so any
-//    partition count or placement produces bit-identical results.
+// A sim::ShardedEngine drives the fabric; each node's traffic runs on its
+// partition's Simulator.
+//  * One partition (the sequential engine): every send is local, and loss and
+//    latency draw from one shared stream in event order.
+//  * P >= 2: loss and latency draw from *per-sender-node* streams (seeded
+//    from the run seed and the node id alone), send-order tiebreaks count per
+//    sender, and same-time deliveries are keyed by the tiebreak: every random
+//    draw and every event ordering becomes a function of the run seed and
+//    node ids — never of the partition layout — so any partition count or
+//    placement produces bit-identical results.
 //
 //    Intra-partition sends go straight to the local event queue;
 //    cross-partition sends are packed into per-(source, destination)
@@ -39,9 +37,6 @@
 //    pool (one memcpy per <=256 KiB block instead of one allocation per
 //    message), sorts records by (arrival, tiebreak, source partition, send
 //    order), and schedules zero-copy slices of its segment copies.
-//    FabricConfig::ExchangeMode::kDeepCopy retains the per-message deep-copy
-//    import (same determinism machinery, same results) as a benchmark
-//    baseline.
 //
 //    Sends to already-crashed destinations are filtered at the sender —
 //    *after* the loss/latency draws, so stream consumption never depends on
@@ -71,23 +66,13 @@ namespace hg::net {
 using ReceiveFn = std::function<void(const Datagram&)>;
 
 struct FabricConfig {
-  // Cross-partition import strategy (sharded mode only; results identical):
-  // kBatched packs pooled segment blocks per partition pair, kDeepCopy
-  // copies every message individually (the pre-pooling baseline, kept for
-  // benchmark comparison).
-  enum class ExchangeMode : std::uint8_t { kBatched, kDeepCopy };
-
   QueueDiscipline discipline = QueueDiscipline::kFifo;
-  ExchangeMode exchange = ExchangeMode::kBatched;
 };
 
 class NetworkFabric final : public sim::PartitionBridge {
  public:
-  NetworkFabric(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
-                std::unique_ptr<LossModel> loss, FabricConfig config = {});
-
-  // Sharded mode: registers itself as `engine`'s PartitionBridge and routes
-  // each node's traffic through its partition's Simulator. The latency
+  // Registers itself as `engine`'s PartitionBridge and routes each node's
+  // traffic through its partition's Simulator. With P >= 2 the latency
   // model's min_delay() must be >= the engine's epoch width.
   NetworkFabric(sim::ShardedEngine& engine, std::unique_ptr<LatencyModel> latency,
                 std::unique_ptr<LossModel> loss, FabricConfig config = {});
@@ -101,8 +86,8 @@ class NetworkFabric final : public sim::PartitionBridge {
   void send(NodeId src, NodeId dst, MsgClass cls, BufferRef bytes,
             std::int64_t phantom_bytes = 0);
 
-  // Crash-stop: the node neither sends nor receives from now on. In sharded
-  // mode this must run from a barrier control task (workers quiescent) —
+  // Crash-stop: the node neither sends nor receives from now on. This must
+  // run from a barrier control task (workers quiescent) —
   // alive flags are read lock-free across partitions during epochs, so a
   // mid-epoch kill would be a data race. Enforced: killing while a parallel
   // phase runs aborts (ShardedEngine::quiescent).
@@ -125,7 +110,7 @@ class NetworkFabric final : public sim::PartitionBridge {
   [[nodiscard]] std::uint64_t datagrams_lost() const;
   [[nodiscard]] std::uint64_t datagrams_delivered() const;
 
-  // Sharded-mode traffic accounting (all zero for sequential / P == 1).
+  // Superstep traffic accounting (all zero for P == 1).
   // Counts are post-loss; `filtered_dead` are sends to already-crashed
   // destinations dropped at the sender. All are functions of the run seed —
   // identical at every worker count; the local/cross split (and therefore
@@ -164,16 +149,6 @@ class NetworkFabric final : public sim::PartitionBridge {
     std::vector<std::uint64_t> xmit_seq;
   };
 
-  // A cross-partition datagram parked until the next epoch barrier
-  // (kDeepCopy exchange mode).
-  struct OutMsg {
-    Datagram d;
-    sim::SimTime arrive;
-    std::uint64_t tiebreak;      // seed-derived; independent of worker count
-    std::uint32_t src_partition;
-    std::uint32_t dst_partition;
-  };
-
   // Batched exchange: one record per packed cross-partition datagram.
   struct PackRec {
     sim::SimTime arrive;
@@ -210,7 +185,7 @@ class NetworkFabric final : public sim::PartitionBridge {
   struct Partition {
     Partition(sim::Simulator* s, Rng r) : sim(s), rng(std::move(r)) {}
     sim::Simulator* sim;
-    Rng rng;  // P == 1 sequential-semantics stream (unused when P >= 2)
+    Rng rng;  // P == 1: the shared loss+latency stream (unused when P >= 2)
     std::uint64_t lost = 0;
     std::uint64_t delivered = 0;
     std::uint64_t local_datagrams = 0;
@@ -218,9 +193,8 @@ class NetworkFabric final : public sim::PartitionBridge {
     std::uint64_t filtered_dead = 0;
     std::uint64_t xpart_bytes = 0;
     std::vector<PackBlock> blocks;  // indexed by destination partition
-    std::vector<OutMsg> outbox;     // kDeepCopy mode
     // Exchange-side scratch (owned by this partition's worker): (source
-    // partition, record/outbox index) pairs. Indices, not pointers — the
+    // partition, record index) pairs. Indices, not pointers — the
     // canonical import order must never rest on address comparisons (the
     // determinism linter's pointer-order rule enforces this tree-wide).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> import_order;
@@ -239,35 +213,24 @@ class NetworkFabric final : public sim::PartitionBridge {
     return id.value() % kShardSize;
   }
   [[nodiscard]] UploadLink& link_mut(NodeId id) { return shard(id).links[index_in_shard(id)]; }
-  [[nodiscard]] sim::Simulator& sim_for(NodeId id) {
-    return engine_ != nullptr ? engine_->sim_of_node(id.value()) : *sim_;
-  }
   // Per-sender streams are the P >= 2 determinism mechanism; with one
   // partition the shared-stream sequential semantics apply.
-  [[nodiscard]] bool sender_streams() const {
-    return engine_ != nullptr && parts_.size() > 1;
-  }
+  [[nodiscard]] bool sender_streams() const { return parts_.size() > 1; }
 
   void on_wire(Datagram&& d);
   void deliver_parallel(const Datagram& d);
   void pack_outgoing(PackBlock& block, sim::SimTime arrive, std::uint64_t tiebreak,
                      const Datagram& d);
-  void exchange_batched(std::uint32_t partition);
-  void exchange_deep_copy(std::uint32_t partition);
   [[nodiscard]] std::uint64_t cross_tiebreak(NodeId src, NodeId dst,
                                              std::uint64_t seq) const;
 
-  sim::Simulator* sim_ = nullptr;         // sequential mode only
-  sim::ShardedEngine* engine_ = nullptr;  // sharded mode only
+  sim::ShardedEngine* engine_;
   std::unique_ptr<LatencyModel> latency_;
   std::unique_ptr<LossModel> loss_;
   FabricConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t node_count_ = 0;
-  Rng rng_;                // sequential / P == 1: the single loss+latency stream
-  std::uint64_t lost_ = 0;       // sequential / P == 1 counters
-  std::uint64_t delivered_ = 0;
-  std::vector<Partition> parts_;  // sharded mode
+  std::vector<Partition> parts_;
   std::uint64_t tiebreak_salt_ = 0;
   std::uint64_t sender_seed_base_ = 0;  // roots the per-sender streams
 };

@@ -61,9 +61,10 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   Rng assign_rng = Rng(seed_).fork(kAssignStream);
   const auto assignment = population_.distribution.assign(population_.node_count, assign_rng);
 
-  if (parallel_.workers == 0) {
-    d->sim_ = std::make_unique<sim::Simulator>(seed_);
-  } else {
+  // workers == 0 is the sequential engine: the default plan, one partition
+  // driven by the calling thread (the delegation shell around one Simulator).
+  sim::ShardedEngine::Config engine_cfg;
+  if (parallel_.workers > 0) {
     const sim::SimTime epoch = latency->min_delay();
     std::uint32_t parts = parallel_.partitions;
     if (parts == 0) {
@@ -105,36 +106,23 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
         placement[order[rank]] = (lap % 2 == 0) ? step : parts - 1 - step;
       }
     }
-    d->engine_ = std::make_unique<sim::ShardedEngine>(
-        seed_, total,
-        sim::ShardedEngine::Config{parts, parallel_.workers, epoch, std::move(placement),
-                                   parallel_.epoch_widening});
+    engine_cfg = sim::ShardedEngine::Config{.partitions = parts,
+                                            .workers = parallel_.workers,
+                                            .epoch = epoch,
+                                            .placement = std::move(placement),
+                                            .epoch_widening = parallel_.epoch_widening};
   }
-
-  if (d->engine_ != nullptr) {
-    d->fabric_ = std::make_unique<net::NetworkFabric>(*d->engine_, std::move(latency),
-                                                      std::move(loss),
-                                                      net::FabricConfig{network_.discipline});
-    sim::ShardedEngine* engine = d->engine_.get();
-    d->directory_ = std::make_unique<membership::Directory>(
-        churn_.detection, engine->make_rng(membership::kDirectoryStream),
-        [engine](sim::SimTime at, std::function<void()> fn) {
-          engine->schedule_control(at, std::move(fn));
-        },
-        [engine]() { return engine->now(); });
-  } else {
-    d->fabric_ = std::make_unique<net::NetworkFabric>(*d->sim_, std::move(latency),
-                                                      std::move(loss),
-                                                      net::FabricConfig{network_.discipline});
-    d->directory_ = std::make_unique<membership::Directory>(*d->sim_, churn_.detection);
-  }
+  d->engine_ = std::make_unique<sim::ShardedEngine>(seed_, total, std::move(engine_cfg));
+  d->fabric_ = std::make_unique<net::NetworkFabric>(*d->engine_, std::move(latency),
+                                                    std::move(loss),
+                                                    net::FabricConfig{network_.discipline});
+  d->directory_ = std::make_unique<membership::Directory>(*d->engine_, churn_.detection);
 
   for (std::uint32_t i = 0; i < total; ++i) d->directory_->add_node(NodeId{i});
 
-  // Each node's stack runs on its own partition's simulator (the sequential
-  // engine is "one partition" here).
+  // Each node's stack runs on its own partition's simulator.
   auto sim_of = [&d](NodeId id) -> sim::Simulator& {
-    return d->engine_ != nullptr ? d->engine_->sim_of_node(id.value()) : *d->sim_;
+    return d->engine_->sim_of_node(id.value());
   };
 
   NodeFactory make_node = factory_;
@@ -148,10 +136,10 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
   // Per-node template; park idle gossip rounds under the sharded P >= 2
   // engine (message-identical there — see GossipConfig::park_idle_rounds —
   // and quiescent nodes are what epoch widening fast-forwards over). The
-  // sequential and single-partition engines keep the periodic timer and its
-  // bitwise-frozen interleaving.
+  // single-partition engine keeps the periodic timer and its bitwise-frozen
+  // interleaving.
   core::NodeConfig node_template = population_.node;
-  if (d->engine_ != nullptr && d->engine_->partitions() > 1) {
+  if (d->parallel()) {
     node_template.gossip.park_idle_rounds = true;
   }
 
@@ -230,36 +218,17 @@ std::unique_ptr<Deployment> Deployment::Builder::build() const {
       });
 
   // --- churn ----------------------------------------------------------------
-  // Armed here, not in start(): same-time events fire in scheduling order,
-  // and crashes must preempt protocol timers tied to the same timestamp. The
-  // sharded engine gives the same guarantee structurally: control tasks run
-  // at the barrier before any partition's local events at that time.
+  // Armed here, not in start(): with one partition same-time events fire in
+  // scheduling order, and crashes must preempt protocol timers tied to the
+  // same timestamp. With P >= 2 the engine gives the same guarantee
+  // structurally: control tasks run at the barrier before any partition's
+  // local events at that time.
   Deployment* dp = d.get();
   for (const ChurnEvent& event : churn_.schedule) {
     dp->schedule_control(event.at, [dp, event]() { dp->apply_churn(event); });
   }
 
   return d;
-}
-
-std::uint64_t Deployment::run_until(sim::SimTime until) {
-  return engine_ != nullptr ? engine_->run_until(until) : sim_->run_until(until);
-}
-
-void Deployment::schedule_control(sim::SimTime when, std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    engine_->schedule_control(when, std::move(fn));
-  } else {
-    sim_->at(when, std::move(fn));
-  }
-}
-
-sim::SimTime Deployment::now() const {
-  return engine_ != nullptr ? engine_->now() : sim_->now();
-}
-
-std::uint64_t Deployment::events_executed() const {
-  return engine_ != nullptr ? engine_->events_executed() : sim_->events_executed();
 }
 
 void Deployment::start() {
@@ -273,7 +242,7 @@ void Deployment::start() {
 
 void Deployment::apply_churn(const ChurnEvent& event) {
   const std::uint64_t tag = kChurnStream ^ static_cast<std::uint64_t>(event.at.as_us());
-  Rng churn_rng = engine_ != nullptr ? engine_->make_rng(tag) : sim_->make_rng(tag);
+  Rng churn_rng = engine_->make_rng(tag);
   std::vector<std::size_t> alive_idx;
   for (std::size_t i = 0; i < receivers_.size(); ++i) {
     if (!receivers_[i].info.crashed) alive_idx.push_back(i);

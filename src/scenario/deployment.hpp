@@ -89,8 +89,8 @@ enum class Placement : std::uint8_t {
 };
 
 struct ParallelPlan {
-  // 0 = classic sequential event loop (the default; bitwise-identical to all
-  // previous releases). >= 1 = superstep-sharded engine driven by this many
+  // 0 = the sequential engine: one partition, driven by the calling thread
+  // (the default). >= 1 = superstep-sharded engine driven by this many
   // worker threads. Results of a sharded run depend only on the seed —
   // every workers >= 1 value and every partitions >= 2 count yields
   // identical bytes (partitions == 1 matches the sequential engine instead).
@@ -183,30 +183,22 @@ class Deployment {
   // schedule is armed at build()). Call once, then drive run_until().
   void start();
 
-  // True when the deployment runs on the superstep-sharded engine. The
-  // engine-agnostic driver surface below works in both modes; sim() and
-  // engine() are mode-specific.
-  [[nodiscard]] bool parallel() const { return engine_ != nullptr; }
-  [[nodiscard]] sim::ShardedEngine& engine() {
-    HG_ASSERT_MSG(engine_ != nullptr, "engine() requires a parallel deployment");
-    return *engine_;
-  }
+  // True when the engine runs supersteps over two or more partitions; a
+  // sequential run is the one-partition engine.
+  [[nodiscard]] bool parallel() const { return engine_->partitions() > 1; }
+  [[nodiscard]] sim::ShardedEngine& engine() { return *engine_; }
 
-  // Advances the deployment to `until` (inclusive, like Simulator::run_until)
-  // on whichever engine drives it. Returns events executed by this call.
-  std::uint64_t run_until(sim::SimTime until);
-  // Schedules `fn` at absolute time `when`; in sharded mode it runs as a
+  // Advances the deployment to `until` (inclusive, like Simulator::run_until).
+  // Returns events executed by this call.
+  std::uint64_t run_until(sim::SimTime until) { return engine_->run_until(until); }
+  // Schedules `fn` at absolute time `when`. With P >= 2 it runs as a
   // single-threaded barrier control task, before local events at that time.
-  void schedule_control(sim::SimTime when, std::function<void()> fn);
-  [[nodiscard]] sim::SimTime now() const;
-  [[nodiscard]] std::uint64_t events_executed() const;
-
-  [[nodiscard]] sim::Simulator& sim() {
-    HG_ASSERT_MSG(sim_ != nullptr,
-                  "no global simulator in a parallel deployment — drive it via "
-                  "run_until()/schedule_control()/now()");
-    return *sim_;
+  void schedule_control(sim::SimTime when, std::function<void()> fn) {
+    engine_->schedule_control(when, std::move(fn));
   }
+  [[nodiscard]] sim::SimTime now() const { return engine_->now(); }
+  [[nodiscard]] std::uint64_t events_executed() const { return engine_->events_executed(); }
+
   [[nodiscard]] net::NetworkFabric& fabric() { return *fabric_; }
   [[nodiscard]] const net::NetworkFabric& fabric() const { return *fabric_; }
   [[nodiscard]] membership::Directory& directory() { return *directory_; }
@@ -242,11 +234,9 @@ class Deployment {
 
   StreamPlan stream_;
   ChurnPlan churn_;
-  // Exactly one of engine_/sim_ is set. engine_ is declared first: the
-  // partition simulators it owns must outlive every component holding a
-  // Simulator reference (links, nodes, players).
+  // Declared first: the partition simulators the engine owns must outlive
+  // every component holding a Simulator reference (links, nodes, players).
   std::unique_ptr<sim::ShardedEngine> engine_;
-  std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::NetworkFabric> fabric_;
   std::unique_ptr<membership::Directory> directory_;
   std::unique_ptr<core::NodeRuntime> source_node_;

@@ -17,8 +17,8 @@ ShardedEngine::ShardedEngine(std::uint64_t seed, std::size_t node_count, Config 
       pool_(config.workers == 0 ? 1 : config.workers) {
   if (node_count_ > 0 && partitions_ > node_count_) {
     // More partitions than nodes is a degenerate plan (empty shards would
-    // still pay every barrier). Collapse to the single-partition delegation
-    // shell, which is bit-identical to the sequential engine.
+    // still pay every barrier). Collapse to one partition: the sequential
+    // engine.
     HG_LOG_WARN("partitions (%u) exceed node count (%zu); clamping to 1",
                 partitions_, node_count_);
     partitions_ = 1;

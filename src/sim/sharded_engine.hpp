@@ -20,9 +20,9 @@
 // the partition layout (count or placement) cannot change results either —
 // any P >= 2 produces bit-identical output for a given run seed.
 //
-// P == 1 is a pure delegation shell around one Simulator: control tasks
-// become plain events and run_until forwards directly, so a single-partition
-// engine is bit-identical to the sequential engine by construction.
+// P == 1 is the sequential engine: a pure delegation shell around one
+// Simulator, where control tasks become plain events and run_until forwards
+// directly.
 //
 // Adaptive epoch widening: before each epoch the barrier polls every
 // partition's next-event horizon. When the earliest pending event lies past

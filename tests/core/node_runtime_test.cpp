@@ -6,21 +6,23 @@
 #include "core/signal.hpp"
 #include "gossip/gossip_module.hpp"
 #include "membership/cyclon_module.hpp"
-#include "tree/tree_module.hpp"
 
 namespace hg::core {
 namespace {
 
 struct Swarm {
-  sim::Simulator sim{17};
+  sim::ShardedEngine engine;
+  sim::Simulator& sim;
   net::NetworkFabric fabric;
   membership::Directory directory;
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
 
   explicit Swarm(std::size_t n, Mode mode, BitRate cap = BitRate::kbps(1000))
-      : fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+      : engine(17, n, {}),
+        sim(engine.sim_of(0)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                std::make_unique<net::NoLoss>()),
-        directory(sim, membership::DetectionConfig{}) {
+        directory(engine, membership::DetectionConfig{}) {
     for (std::uint32_t i = 0; i < n; ++i) directory.add_node(NodeId{i});
     for (std::uint32_t i = 0; i < n; ++i) {
       NodeConfig cfg;
@@ -104,13 +106,13 @@ TEST(NodeRuntimeDeathTest, StrictModeAbortsOnUnknownTag) {
 TEST(NodeRuntimeDeathTest, DuplicateTagRegistrationAborts) {
   ASSERT_DEATH(
       {
-        sim::Simulator sim{1};
-        net::NetworkFabric fabric(sim,
+        sim::ShardedEngine engine(1, 1, {});
+        net::NetworkFabric fabric(engine,
                                   std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                                   std::make_unique<net::NoLoss>());
-        membership::Directory directory(sim, membership::DetectionConfig{});
+        membership::Directory directory(engine, membership::DetectionConfig{});
         directory.add_node(NodeId{0});
-        NodeRuntime rt(sim, fabric, directory, NodeId{0}, NodeConfig{});
+        NodeRuntime rt(engine.sim_of(0), fabric, directory, NodeId{0}, NodeConfig{});
         auto handler = [](void*, const net::Datagram&) {};
         auto a = rt.register_handler(gossip::MsgTag::kPropose, nullptr, handler);
         auto b = rt.register_handler(gossip::MsgTag::kPropose, nullptr, handler);
@@ -119,12 +121,12 @@ TEST(NodeRuntimeDeathTest, DuplicateTagRegistrationAborts) {
 }
 
 TEST(NodeRuntime, TagRegistrationDeregistersOnDestruction) {
-  sim::Simulator sim{1};
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+  sim::ShardedEngine engine(1, 1, {});
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                             std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
+  membership::Directory directory(engine, membership::DetectionConfig{});
   directory.add_node(NodeId{0});
-  NodeRuntime rt(sim, fabric, directory, NodeId{0}, NodeConfig{});
+  NodeRuntime rt(engine.sim_of(0), fabric, directory, NodeId{0}, NodeConfig{});
 
   int hits = 0;
   const net::Datagram d{NodeId{0}, NodeId{0}, net::MsgClass::kTree,
@@ -221,46 +223,48 @@ TEST(NodeRuntime, RequestGateIsAndOverSubscribers) {
   EXPECT_GT(s.gossip(1).stats().declined_requests, 0u);
 }
 
-TEST(NodeRuntime, CustomStackMultiplexesGossipCyclonAndTreeOnOnePort) {
+TEST(NodeRuntime, CustomStackMultiplexesGossipCyclonAndAggregationOnOnePort) {
   // The payoff of tag routing: three protocols share each node's port, each
   // claiming its own tags, with zero coordination between the modules.
   constexpr std::size_t kN = 6;
-  sim::Simulator sim{31};
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+  sim::ShardedEngine engine(31, kN, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
                             std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
+  membership::Directory directory(engine, membership::DetectionConfig{});
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});
 
-  std::vector<int> tree_got(kN, 0);
-  tree::StaticTree tree(sim, fabric, kN, 2,
-                        [&tree_got](NodeId node, const gossip::Event&) {
-                          ++tree_got[node.value()];
-                        });
   std::vector<NodeId> everyone;
   for (std::uint32_t i = 0; i < kN; ++i) everyone.push_back(NodeId{i});
 
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) {
     NodeConfig cfg;
-    cfg.mode = Mode::kStandard;
-    auto rt = NodeRuntime::standard(sim, fabric, directory, NodeId{i}, cfg);
+    cfg.mode = Mode::kHeap;
+    cfg.capability = BitRate::kbps(1000);
+    auto rt = NodeRuntime::heap(sim, fabric, directory, NodeId{i}, cfg);
     rt->emplace_module<membership::CyclonModule>(membership::CyclonConfig{}).bootstrap(everyone);
-    rt->emplace_module<tree::TreeModule>(tree);
     rt->attach(BitRate::unlimited());
     nodes.push_back(std::move(rt));
   }
   for (auto& n : nodes) n->start();
 
-  nodes[0]->publish(make_event(0, 0));  // gossip leg
-  tree.publish(make_event(9, 9));       // tree leg (root = node 0)
+  nodes[0]->publish(make_event(0, 0));
   sim.run_until(sim::SimTime::sec(6));
 
   for (std::size_t i = 0; i < kN; ++i) {
+    const auto names = nodes[i]->module_names();
+    ASSERT_EQ(names.size(), 3u) << i;
     EXPECT_TRUE(nodes[i]->module<gossip::GossipModule>().engine().has_delivered(
         gossip::EventId{0, 0}))
         << i;
-    EXPECT_EQ(tree_got[i], 1) << i;
+    EXPECT_GT(nodes[i]->module<aggregation::AggregationModule>().aggregator().known_origins(),
+              0u)
+        << i;
     EXPECT_GE(nodes[i]->module<membership::CyclonModule>().sampler().view_size(), 1u) << i;
+    const net::TrafficMeter& meter = fabric.meter(NodeId{static_cast<std::uint32_t>(i)});
+    EXPECT_GT(meter.received(net::MsgClass::kMembership).msgs, 0u) << i;
+    EXPECT_GT(meter.received(net::MsgClass::kAggregation).msgs, 0u) << i;
     EXPECT_EQ(nodes[i]->stats().unknown_tag_datagrams, 0u) << i;
   }
 }
@@ -269,11 +273,12 @@ TEST(NodeRuntime, FreeriderAdvertisingLowCapabilityContributesLess) {
   // §5 "nodes would pretend to be poor in order not to contribute": a node
   // that *declares* a fraction of its true capability gets a matching
   // fanout reduction — the attack HEAP's incentive discussion worries about.
-  sim::Simulator sim(23);
-  net::NetworkFabric fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
-                            std::make_unique<net::NoLoss>());
-  membership::Directory directory(sim, membership::DetectionConfig{});
   constexpr std::size_t kN = 20;
+  sim::ShardedEngine engine(23, kN, {});
+  sim::Simulator& sim = engine.sim_of(0);
+  net::NetworkFabric fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(10)),
+                            std::make_unique<net::NoLoss>());
+  membership::Directory directory(engine, membership::DetectionConfig{});
   std::vector<std::unique_ptr<NodeRuntime>> nodes;
   for (std::uint32_t i = 0; i < kN; ++i) directory.add_node(NodeId{i});
   for (std::uint32_t i = 0; i < kN; ++i) {

@@ -6,13 +6,16 @@
 #include <set>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace hg::membership {
 namespace {
 
+// Wheel drains run on the engine. These rigs route no datagrams, so their
+// engines need no node table.
+
 TEST(Directory, SelectNodesExcludesSelf) {
-  sim::Simulator s(1);
+  sim::ShardedEngine s(1, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 10; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{3});
@@ -26,7 +29,7 @@ TEST(Directory, SelectNodesExcludesSelf) {
 }
 
 TEST(Directory, SelectNodesDistinct) {
-  sim::Simulator s(2);
+  sim::ShardedEngine s(2, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 20; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
@@ -38,7 +41,7 @@ TEST(Directory, SelectNodesDistinct) {
 }
 
 TEST(Directory, SelectNodesCappedByPopulation) {
-  sim::Simulator s(3);
+  sim::ShardedEngine s(3, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 4; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
@@ -49,7 +52,7 @@ TEST(Directory, SelectNodesCappedByPopulation) {
 }
 
 TEST(Directory, SelectionIsUniform) {
-  sim::Simulator s(4);
+  sim::ShardedEngine s(4, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 11; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{0});
@@ -67,7 +70,7 @@ TEST(Directory, SelectionIsUniform) {
 }
 
 TEST(Directory, KillPropagatesAfterDetectionDelay) {
-  sim::Simulator s(5);
+  sim::ShardedEngine s(5, /*node_count=*/0, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10);
   det.spread = 0.0;  // deterministic delay for the test
@@ -96,7 +99,7 @@ TEST(Directory, KillPropagatesAfterDetectionDelay) {
 }
 
 TEST(Directory, DetectionDelayIsSpread) {
-  sim::Simulator s(6);
+  sim::ShardedEngine s(6, /*node_count=*/0, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10);
   det.spread = 0.5;
@@ -131,7 +134,7 @@ TEST(Directory, DetectionDelayIsSpread) {
 }
 
 TEST(Directory, DoubleKillIsIdempotent) {
-  sim::Simulator s(7);
+  sim::ShardedEngine s(7, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 3; ++i) dir.add_node(NodeId{i});
   dir.kill(NodeId{1});
@@ -143,7 +146,7 @@ TEST(Directory, LazyViewStoresNothingUntilADeathIsDetected) {
   // Copy-on-write views: over an all-alive population a view is the
   // implicit identity mapping; only the first detected death materializes
   // the private peer array.
-  sim::Simulator s(9);
+  sim::ShardedEngine s(9, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 1000; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{500});
@@ -164,7 +167,7 @@ TEST(Directory, CowViewMatchesClassicSnapshotAlgorithm) {
   // from the classic eager snapshot + swap-remove bookkeeping: same RNG
   // stream in, same peers out, before and after deaths. The reference
   // implementation lives right here.
-  sim::Simulator s(10);
+  sim::ShardedEngine s(10, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   const std::uint32_t n = 50;
   const NodeId owner{10};
@@ -213,7 +216,7 @@ TEST(Directory, CowViewMatchesClassicSnapshotAlgorithm) {
 TEST(Directory, ViewBuiltAfterDeathsMaterializesEagerly) {
   // The identity mapping only holds over an all-alive population; a view
   // built later must fall back to the snapshot and exclude the dead.
-  sim::Simulator s(11);
+  sim::ShardedEngine s(11, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 10; ++i) dir.add_node(NodeId{i});
   dir.kill(NodeId{4});
@@ -232,7 +235,7 @@ TEST(Directory, DetectionWheelSchedulesOneEventPerBucket) {
   // A death with N views must cost O(spread / wheel_tick) scheduled events,
   // not O(N): detections land in shared tick buckets. With spread 0 every
   // observer fires from the same bucket — exactly one event in the queue.
-  sim::Simulator s(3);
+  sim::ShardedEngine s(3, /*node_count=*/0, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10.0);
   det.spread = 0.0;
@@ -256,7 +259,7 @@ TEST(Directory, DetectionWheelSchedulesOneEventPerBucket) {
 TEST(Directory, WheelTickRoundsDetectionUpAtMostOneTick) {
   // Quantization contract: a detection fires at the first wheel tick at or
   // after its sampled delay — never before, never more than a tick late.
-  sim::Simulator s(5);
+  sim::ShardedEngine s(5, /*node_count=*/0, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(10.0);
   det.spread = 0.0;
@@ -275,7 +278,7 @@ TEST(Directory, WheelTickRoundsDetectionUpAtMostOneTick) {
 TEST(Directory, WheelBucketsAreReusableAfterDrain) {
   // A second death whose detection maps to an already-drained bucket index
   // range must re-create buckets, not vanish.
-  sim::Simulator s(6);
+  sim::ShardedEngine s(6, /*node_count=*/0, {});
   DetectionConfig det;
   det.mean = sim::SimTime::sec(1.0);
   det.spread = 0.0;
@@ -293,7 +296,7 @@ TEST(Directory, WheelBucketsAreReusableAfterDrain) {
 TEST(Directory, ViewOfKilledOwnerUnaffected) {
   // A dead node's own view is not updated (it is dead), but destroying the
   // view must not crash pending detection events.
-  sim::Simulator s(8);
+  sim::ShardedEngine s(8, /*node_count=*/0, {});
   Directory dir(s, DetectionConfig{});
   for (std::uint32_t i = 0; i < 3; ++i) dir.add_node(NodeId{i});
   auto view = dir.make_view(NodeId{1});

@@ -26,7 +26,8 @@ fec::WindowCodec make_codec(const StreamConfig& cfg) {
 }
 
 struct Rig {
-  sim::Simulator sim{7};
+  sim::ShardedEngine engine{7, 1, {}};
+  sim::Simulator& sim = engine.sim_of(0);
   fec::WindowCodec codec;  // the rig's own; a Deployment shares one across receivers
   net::NetworkFabric fabric;
   membership::Directory directory;
@@ -35,9 +36,9 @@ struct Rig {
 
   explicit Rig(const StreamConfig& cfg, std::uint32_t windows)
       : codec(make_codec(cfg)),
-        fabric(sim, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
+        fabric(engine, std::make_unique<net::ConstantLatency>(sim::SimTime::ms(1)),
                std::make_unique<net::NoLoss>()),
-        directory(sim, membership::DetectionConfig{}) {
+        directory(engine, membership::DetectionConfig{}) {
     directory.add_node(NodeId{0});
     node = core::NodeRuntime::make(sim, fabric, directory, NodeId{0}, core::NodeConfig{});
     fec = &node->emplace_module<FecModule>(codec, windows);
